@@ -1715,7 +1715,7 @@ impl ScenarioSpec {
                     // routes as alt-0 under its own address, so the
                     // rest of the chain serves either ingress.
                     let mut gw = AltRouter::new(addrs::ALT_GATEWAY_2);
-                    for s in topo.sites.iter() {
+                    for s in &topo.sites {
                         if chain_addrs.len() > 1 {
                             gw.add_overlay_route(s.eid_prefix, chain_addrs[1]);
                         } else {
@@ -2166,12 +2166,11 @@ impl ScenarioSpec {
                                         );
                                     }
                                     if let Some(sp) = pce_standby_ports[i] {
-                                        sim.node_mut::<FlowRouter>(site_routers[i])
-                                            .schedule_route(
-                                                detect_at,
-                                                Prefix::host(topo.sites[i].dns_addr()),
-                                                sp,
-                                            );
+                                        sim.node_mut::<FlowRouter>(site_routers[i]).schedule_route(
+                                            detect_at,
+                                            Prefix::host(topo.sites[i].dns_addr()),
+                                            sp,
+                                        );
                                     }
                                     if let Some(standby) = pce_standby_nodes[i] {
                                         sim.schedule_timer(

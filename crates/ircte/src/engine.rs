@@ -84,6 +84,10 @@ pub struct IrcEngine {
     monitors: Vec<PathMonitor>,
     policy: SelectionPolicy,
     flows: BTreeMap<(u32, u32), TrackedFlow>,
+    /// Allocated rate per provider: the sum of `rate` over the tracked
+    /// flows it carries, kept current by every mutation of `flows` so a
+    /// choice never re-sums the whole flow table.
+    load: Vec<f64>,
     /// Flows admitted.
     pub flows_admitted: u64,
     /// Flows removed.
@@ -100,11 +104,13 @@ impl IrcEngine {
     pub fn new(providers: Vec<Provider>, policy: SelectionPolicy) -> Self {
         assert!(!providers.is_empty(), "need at least one provider");
         let monitors = providers.iter().map(|_| PathMonitor::new()).collect();
+        let load = vec![0.0; providers.len()];
         Self {
             providers,
             monitors,
             policy,
             flows: BTreeMap::new(),
+            load,
             flows_admitted: 0,
             flows_removed: 0,
             moves_made: 0,
@@ -146,20 +152,18 @@ impl IrcEngine {
     }
 
     /// Current allocated load per provider.
-    pub fn loads(&self) -> Vec<f64> {
-        let mut load = vec![0.0; self.providers.len()];
-        for f in self.flows.values() {
-            load[f.provider] += f.rate;
-        }
-        load
+    pub fn loads(&self) -> &[f64] {
+        &self.load
+    }
+
+    fn utilisation(&self, p: ProviderId) -> f64 {
+        self.load[p] / self.providers[p].capacity.max(f64::MIN_POSITIVE)
     }
 
     /// Current utilisation per provider.
     pub fn utilisations(&self) -> Vec<f64> {
-        self.loads()
-            .iter()
-            .zip(&self.providers)
-            .map(|(l, p)| l / p.capacity.max(f64::MIN_POSITIVE))
+        (0..self.providers.len())
+            .map(|p| self.utilisation(p))
             .collect()
     }
 
@@ -169,7 +173,6 @@ impl IrcEngine {
     }
 
     fn views(&self) -> Vec<ProviderView> {
-        let utils = self.utilisations();
         self.providers
             .iter()
             .enumerate()
@@ -177,7 +180,7 @@ impl IrcEngine {
                 latency_ns: self.monitors[i].srtt().map(|n| n.0).unwrap_or(u64::MAX),
                 loss: self.monitors[i].loss(),
                 cost: p.cost,
-                utilisation: utils[i],
+                utilisation: self.utilisation(i),
                 weight: p.weight,
                 up: p.up,
             })
@@ -194,7 +197,7 @@ impl IrcEngine {
     ) -> Option<(ProviderId, Ipv4Address)> {
         let views = self.views();
         let p = self.policy.select(&views)?;
-        self.flows.insert(
+        let replaced = self.flows.insert(
             Self::key(flow),
             TrackedFlow {
                 key: flow,
@@ -202,6 +205,10 @@ impl IrcEngine {
                 provider: p,
             },
         );
+        if let Some(old) = replaced {
+            self.load[old.provider] -= old.rate;
+        }
+        self.load[p] += rate;
         self.flows_admitted += 1;
         Some((p, self.providers[p].rloc))
     }
@@ -215,11 +222,12 @@ impl IrcEngine {
 
     /// Stop tracking a flow.
     pub fn remove_flow(&mut self, flow: (Ipv4Address, Ipv4Address)) -> bool {
-        let removed = self.flows.remove(&Self::key(flow)).is_some();
-        if removed {
-            self.flows_removed += 1;
-        }
-        removed
+        let Some(old) = self.flows.remove(&Self::key(flow)) else {
+            return false;
+        };
+        self.load[old.provider] -= old.rate;
+        self.flows_removed += 1;
+        true
     }
 
     /// Number of tracked flows.
@@ -251,10 +259,10 @@ impl IrcEngine {
             let Some(new_p) = self.policy.select(&views) else {
                 break;
             };
-            self.flows
-                .get_mut(&Self::key(key))
-                .expect("tracked")
-                .provider = new_p;
+            let f = self.flows.get_mut(&Self::key(key)).expect("tracked");
+            f.provider = new_p;
+            self.load[dead] -= f.rate;
+            self.load[new_p] += f.rate;
             moves.push(Move {
                 flow_key: key,
                 new_provider: new_p,
@@ -290,6 +298,8 @@ impl IrcEngine {
                     .get_mut(&Self::key(f.key))
                     .expect("tracked")
                     .provider = new_p;
+                self.load[f.provider] -= f.rate;
+                self.load[new_p] += f.rate;
                 moves.push(Move {
                     flow_key: f.key,
                     new_provider: new_p,

@@ -493,7 +493,7 @@ impl Xtr {
             MissPolicy::Drop => {
                 self.stats.miss_drops += 1;
                 self.ctr_miss_drops.add(ctx, "xtr.miss_drops", 1);
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "ITR {} dropped packet to {} (no mapping)",
                     self.cfg.rloc, dst_eid
                 ));
@@ -547,8 +547,10 @@ impl Xtr {
         }
         let mut delay = base;
         for _ in 1..transmission {
-            delay = Ns(delay.0.saturating_mul(u64::from(self.cfg.request_backoff_multiplier)))
-                .min(self.cfg.request_backoff_cap);
+            delay = Ns(delay
+                .0
+                .saturating_mul(u64::from(self.cfg.request_backoff_multiplier)))
+            .min(self.cfg.request_backoff_cap);
         }
         delay
     }
@@ -627,7 +629,10 @@ impl Xtr {
         };
         self.in_flight.insert(dst_eid, inf);
         self.stats.map_requests_sent += 1;
-        ctx.trace(format!("ITR {} map-request for {}", self.cfg.rloc, dst_eid));
+        ctx.trace(format_args!(
+            "ITR {} map-request for {}",
+            self.cfg.rloc, dst_eid
+        ));
         self.send_map_request(ctx, dst_eid, inf);
     }
 
@@ -715,7 +720,7 @@ impl Xtr {
     fn install_flow(&mut self, ctx: &mut Ctx<'_, Packet>, flow: FlowMapping) {
         self.flows.insert((flow.source_eid, flow.dest_eid), flow);
         self.stats.flow_installs += 1;
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "xTR {} installed flow {}->{} via ({} -> {})",
             self.cfg.rloc, flow.source_eid, flow.dest_eid, flow.rloc_s, flow.rloc_d
         ));
@@ -741,7 +746,7 @@ impl Xtr {
         let inner_src = inner.src();
         let inner_dst = inner.dst();
         self.stats.decap += 1;
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "ETR {} decap {} -> {} (outer {} -> {})",
             self.cfg.rloc, inner_src, inner_dst, outer_src, outer_dst
         ));
@@ -799,7 +804,7 @@ impl Xtr {
                         ctx.send(port, pkt);
                         self.stats.reverse_syncs_sent += 1;
                     }
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "ETR {} reverse-sync for flow {} -> {}",
                         self.cfg.rloc, inner_dst, inner_src
                     ));
@@ -859,7 +864,7 @@ impl Xtr {
                     records: vec![record],
                 };
                 self.stats.map_requests_answered += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "ETR {} map-reply for {} to {}",
                     self.cfg.rloc, req.target_eid, req.itr_rloc
                 ));
@@ -873,7 +878,7 @@ impl Xtr {
             }
             CtlMsg::Reply(reply) => {
                 self.stats.map_replies_received += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "ITR {} map-reply received from {}",
                     self.cfg.rloc, src
                 ));
@@ -985,7 +990,7 @@ impl Xtr {
                 self.flows.remove(key);
             }
             self.stats.invalidated_flows += dead_flows.len() as u64;
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "xTR {} declares RLOC {} unreachable ({} cache entries, {} flows invalidated)",
                 self.cfg.rloc,
                 rloc,
@@ -1173,7 +1178,7 @@ impl Node<Packet> for Xtr {
                 };
                 self.in_flight.insert(eid, fresh);
                 self.stats.map_requests_sent += 1;
-                ctx.trace(format!(
+                ctx.trace(format_args!(
                     "ITR {} cool-down expired, re-requesting {}",
                     self.cfg.rloc, eid
                 ));
@@ -1198,7 +1203,7 @@ impl Node<Packet> for Xtr {
                     };
                     self.in_flight.insert(eid, moved);
                     self.stats.map_request_retries += 1;
-                    ctx.trace(format!(
+                    ctx.trace(format_args!(
                         "ITR {} fails over to resolver #{} for {}",
                         self.cfg.rloc, next_idx, eid
                     ));
@@ -1790,7 +1795,10 @@ mod tests {
             MissPolicy::Queue { max_packets: 8 },
             Ns::from_us(100),
         );
-        w.sim.node_mut::<Xtr>(w.xtr_s).cfg.request_backoff_multiplier = 2;
+        w.sim
+            .node_mut::<Xtr>(w.xtr_s)
+            .cfg
+            .request_backoff_multiplier = 2;
         let pkt = data_packet(a([100, 0, 0, 5]), a([101, 0, 0, 7]), 1);
         w.sim.node_mut::<SiteHost>(w.host_s).outbox = vec![pkt];
         w.sim.schedule_timer(w.host_s, Ns::ZERO, 0);
@@ -1822,10 +1830,7 @@ mod tests {
             MissPolicy::Queue { max_packets: 8 },
             Ns::from_us(100),
         );
-        w.sim
-            .node_mut::<Xtr>(w.xtr_s)
-            .cfg
-            .map_resolver_replicas = vec![a([8, 0, 0, 10])];
+        w.sim.node_mut::<Xtr>(w.xtr_s).cfg.map_resolver_replicas = vec![a([8, 0, 0, 10])];
         let pkt = data_packet(a([100, 0, 0, 5]), a([101, 0, 0, 7]), 1);
         w.sim.node_mut::<SiteHost>(w.host_s).outbox = vec![pkt];
         w.sim.schedule_timer(w.host_s, Ns::ZERO, 0);

@@ -8,6 +8,7 @@
 
 use crate::error::{WireError, WireResult};
 use crate::ipv4::Ipv4Address;
+use core::borrow::Borrow;
 use core::fmt;
 
 /// Maximum length of a DNS name in presentation format we accept.
@@ -77,6 +78,19 @@ impl Name {
             Some(i) => Name(self.0[i + 1..].to_string()),
             None => Name::root(),
         }
+    }
+
+    /// The presentation strings of this name and of each ancestor,
+    /// longest first and ending with the root (`""`): `www.example.com`,
+    /// `example.com`, `com`, `""`. These are exactly the names `self` is
+    /// a subdomain of.
+    pub fn ancestors(&self) -> impl Iterator<Item = &str> {
+        let mut next = Some(self.0.as_str());
+        core::iter::from_fn(move || {
+            let cur = next?;
+            next = (!cur.is_empty()).then(|| cur.find('.').map_or("", |i| &cur[i + 1..]));
+            Some(cur)
+        })
     }
 
     /// True if `self` is equal to or a subdomain of `other`.
@@ -166,6 +180,15 @@ impl Name {
         }
         let name = Name(labels.join("."));
         Ok((name, end_of_name.expect("end_of_name set before break")))
+    }
+}
+
+/// A name compares, orders and hashes exactly as its presentation
+/// string, so maps keyed by `Name` can be probed with a `&str` (e.g. a
+/// label suffix of another name) without building a `Name`.
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 
@@ -574,6 +597,18 @@ mod tests {
         assert!(n.is_subdomain_of(&Name::root()));
         assert!(!n.is_subdomain_of(&name("ample.com")));
         assert!(!name("example.com").is_subdomain_of(&n));
+    }
+
+    #[test]
+    fn name_ancestors_walk_to_root() {
+        let n = name("www.example.com");
+        let walk: Vec<&str> = n.ancestors().collect();
+        assert_eq!(walk, ["www.example.com", "example.com", "com", ""]);
+        assert!(walk.iter().all(|a| n.is_subdomain_of(&name(a))));
+        assert_eq!(Name::root().ancestors().collect::<Vec<_>>(), [""]);
+        let mut by_name = std::collections::BTreeMap::new();
+        by_name.insert(name("example.com"), 1);
+        assert_eq!(by_name.get("example.com"), Some(&1));
     }
 
     #[test]

@@ -144,7 +144,7 @@ impl NerdAuthority {
             }
         }
         self.push_rounds += 1;
-        ctx.trace(format!(
+        ctx.trace(format_args!(
             "nerd v{} pushed {} records to {} subscribers",
             self.version,
             self.records.len(),

@@ -11,6 +11,7 @@ use crate::trace::Trace;
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use std::any::Any;
+use std::fmt;
 
 /// Identifies a node within a simulation.
 pub type NodeId = usize;
@@ -188,11 +189,14 @@ impl<'a, P: Payload> Ctx<'a, P> {
         self.push_event(at, self.node, EventKind::Timer { token });
     }
 
-    /// Record a trace message (no-op unless tracing is enabled).
-    pub fn trace(&mut self, msg: impl Into<String>) {
+    /// Record a trace message (no-op unless tracing is enabled). Call as
+    /// `ctx.trace(format_args!(..))`: the arguments are evaluated at the
+    /// call site, but the text is formatted only when tracing is on, so a
+    /// disabled trace allocates nothing.
+    pub fn trace(&mut self, msg: fmt::Arguments<'_>) {
         if self.trace.is_enabled() {
             self.trace
-                .push(self.now, self.node, self.node_name, msg.into());
+                .push(self.now, self.node, self.node_name, msg.to_string());
         }
     }
 

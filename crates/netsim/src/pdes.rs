@@ -562,7 +562,10 @@ fn scatter<P: Payload>(sim: &mut Sim<P>, part: &mut Partition) -> Vec<Mutex<Doma
                 .map(|&nid| std::mem::take(&mut sim.names[nid]))
                 .collect(),
             txs: std::mem::take(&mut txs[d]),
-            node_up: part.nodes_of[d].iter().map(|&nid| sim.node_up[nid]).collect(),
+            node_up: part.nodes_of[d]
+                .iter()
+                .map(|&nid| sim.node_up[nid])
+                .collect(),
             node_down_drops: 0,
             queue: EventQueue::new(),
             now: sim.now,
@@ -958,7 +961,7 @@ mod tests {
     impl Node for Hub {
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: usize, bytes: Vec<u8>) {
             ctx.count("hub.rx", 1);
-            ctx.trace(format!("hub rx port={port} len={}", bytes.len()));
+            ctx.trace(format_args!("hub rx port={port} len={}", bytes.len()));
             ctx.send(port, bytes);
         }
         fn as_any(&mut self) -> &mut dyn std::any::Any {
@@ -983,7 +986,7 @@ mod tests {
             }
             self.remaining -= 1;
             ctx.send(0, vec![token as u8; 64]);
-            ctx.trace(format!("leaf tx #{token}"));
+            ctx.trace(format_args!("leaf tx #{token}"));
             ctx.set_timer(self.interval, token + 1);
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: usize, _bytes: Vec<u8>) {

@@ -660,14 +660,16 @@ impl<P: Payload> Sim<P> {
         // nor timers (its pending timers are part of the volatile state
         // lost in the crash). One bool test on the hot path, before the
         // packet log, so all-up runs are byte-identical to the
-        // pre-node-dynamics engine.
-        if !self.node_up[ev.node] && !matches!(ev.kind, EventKind::NodeAdmin { .. }) {
-            if !matches!(ev.kind, EventKind::LinkAdmin { .. }) {
-                self.node_down_drops += 1;
-                return;
-            }
-            // LinkAdmin is engine state, not node state: it applies even
-            // while the owning endpoint is down.
+        // pre-node-dynamics engine. LinkAdmin is engine state, not node
+        // state: it applies even while the owning endpoint is down.
+        if !self.node_up[ev.node]
+            && !matches!(
+                ev.kind,
+                EventKind::NodeAdmin { .. } | EventKind::LinkAdmin { .. }
+            )
+        {
+            self.node_down_drops += 1;
+            return;
         }
         match ev.kind {
             EventKind::Packet { port, payload } => {
@@ -837,11 +839,11 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
             self.sent_at = ctx.now();
             ctx.send(0, vec![0u8; self.payload]);
-            ctx.trace("ping sent");
+            ctx.trace(format_args!("ping sent"));
         }
         fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, _bytes: Vec<u8>) {
             self.rtt = Some(ctx.now() - self.sent_at);
-            ctx.trace("pong received");
+            ctx.trace(format_args!("pong received"));
             ctx.count("pongs", 1);
         }
         fn as_any(&mut self) -> &mut dyn std::any::Any {
@@ -910,6 +912,61 @@ mod tests {
             sim.trace.render()
         };
         assert_eq!(run(42), run(42));
+    }
+
+    #[test]
+    fn disabled_trace_formats_nothing() {
+        use std::fmt;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// Counts its `Display::fmt` calls: the formatting a trace
+        /// message costs.
+        struct FmtCounter<'a>(&'a AtomicUsize);
+        impl fmt::Display for FmtCounter<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                f.write_str("tick")
+            }
+        }
+        struct Ticker {
+            fmts: Arc<AtomicUsize>,
+        }
+        impl Node for Ticker {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+                ctx.trace(format_args!("{} {token}", FmtCounter(&self.fmts)));
+            }
+            fn as_any(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+            fn as_any_ref(&self) -> &dyn std::any::Any {
+                self
+            }
+        }
+
+        for enabled in [false, true] {
+            let fmts = Arc::new(AtomicUsize::new(0));
+            let mut sim: Sim = Sim::new(1);
+            if enabled {
+                sim.trace.enable();
+            }
+            let t = sim.add_node(
+                "ticker",
+                Box::new(Ticker {
+                    fmts: Arc::clone(&fmts),
+                }),
+            );
+            for i in 0..5 {
+                sim.schedule_timer(t, Ns::from_us(i), i);
+            }
+            sim.run();
+            let calls = if enabled { 5 } else { 0 };
+            assert_eq!(fmts.load(Ordering::Relaxed), calls, "tracing on: {enabled}");
+            assert_eq!(sim.trace.events().len(), calls);
+            if enabled {
+                assert_eq!(sim.trace.events()[4].msg, "tick 4");
+            }
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl Node<Packet> for AuthServer {
         let resp = self.answer(&query);
         self.queries_answered += 1;
         if let Some(q) = query.question() {
-            ctx.trace(format!(
+            ctx.trace(format_args!(
                 "auth {} answers {} -> {:?}",
                 self.stack.addr, q.name, resp.rcode
             ));

@@ -63,18 +63,15 @@ impl Zone {
     }
 
     /// Find the delegation (if any) that covers `qname`: the most specific
-    /// delegated child the name falls under.
+    /// delegated child the name falls under. Walks `qname`'s ancestors
+    /// longest first with one map probe each, so the cost grows with the
+    /// name's depth, not with the number of delegations. Covering cuts
+    /// are ancestors of `qname`, and no two ancestors share a label
+    /// count, so the first hit is the deepest cut.
     pub fn covering_delegation(&self, qname: &Name) -> Option<&Delegation> {
-        let mut best: Option<&Delegation> = None;
-        for d in self.delegations.values() {
-            if qname.is_subdomain_of(&d.zone) {
-                match best {
-                    Some(b) if b.zone.label_count() >= d.zone.label_count() => {}
-                    _ => best = Some(d),
-                }
-            }
-        }
-        best
+        qname
+            .ancestors()
+            .find_map(|suffix| self.delegations.get(suffix))
     }
 }
 
@@ -166,6 +163,22 @@ impl ZoneStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Linear scan over every delegation keeping the deepest covering
+    /// cut: the reference [`Zone::covering_delegation`] is checked against.
+    fn covering_delegation_scan<'z>(zone: &'z Zone, qname: &Name) -> Option<&'z Delegation> {
+        let mut best: Option<&Delegation> = None;
+        for d in zone.delegations.values() {
+            if qname.is_subdomain_of(&d.zone) {
+                match best {
+                    Some(b) if b.zone.label_count() >= d.zone.label_count() => {}
+                    _ => best = Some(d),
+                }
+            }
+        }
+        best
+    }
 
     fn n(s: &str) -> Name {
         Name::parse_str(s).unwrap()
@@ -269,5 +282,108 @@ mod tests {
             store.lookup(&n("anything.at.all")),
             LookupResult::NotAuthoritative
         ));
+    }
+
+    /// A name of 0–3 labels over an alphabet where one label is a string
+    /// suffix of another (`b` / `ab`), so `ends_with` without a label
+    /// boundary would be caught.
+    fn name_strategy() -> impl Strategy<Value = Name> {
+        prop::collection::vec(prop::sample::select(vec!["a", "b", "ab", "c"]), 0..4)
+            .prop_map(|labels| n(&labels.join(".")))
+    }
+
+    fn cut(zone: Name) -> Delegation {
+        Delegation {
+            servers: vec![(n("ns.x"), a([9, 9, 9, 53]))],
+            zone,
+            ttl: 60,
+        }
+    }
+
+    proptest! {
+        /// The ancestor walk finds the same delegation as the linear scan
+        /// on random cut sets: a root cut, nested cuts, query names equal
+        /// to a cut or one label below it, and names outside the apex.
+        #[test]
+        fn covering_delegation_matches_linear_scan(
+            apex in name_strategy(),
+            cuts in prop::collection::vec(name_strategy(), 0..10),
+            root_cut in any::<bool>(),
+            queries in prop::collection::vec(name_strategy(), 1..12),
+        ) {
+            // Cuts go straight into the map: `delegate` would reject cuts
+            // outside the apex, and the lookup must not depend on the apex.
+            let mut zone = Zone::new(apex);
+            for c in cuts {
+                zone.delegations.insert(c.clone(), cut(c));
+            }
+            if root_cut {
+                zone.delegations.insert(Name::root(), cut(Name::root()));
+            }
+            let mut qnames = queries;
+            for c in zone.delegations.keys() {
+                qnames.push(c.clone());
+                qnames.push(n(&format!("ab.{c}")));
+            }
+            for q in &qnames {
+                prop_assert_eq!(
+                    zone.covering_delegation(q),
+                    covering_delegation_scan(&zone, q),
+                    "qname {}",
+                    q
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tld_zone_with_2048_delegations() {
+        let mut tld = Zone::new(n("example"));
+        tld.add_a(n("www.example"), a([12, 0, 0, 80]), 300);
+        for i in 0..2048u16 {
+            let child = format!("s{i}.example");
+            let [hi, lo] = i.to_be_bytes();
+            tld.delegate(
+                n(&child),
+                vec![(n(&format!("ns.{child}")), a([10, hi, lo, 53]))],
+                86400,
+            );
+        }
+        for i in 0..2048 {
+            let q = n(&format!("host-1.s{i}.example"));
+            assert_eq!(
+                tld.covering_delegation(&q),
+                covering_delegation_scan(&tld, &q)
+            );
+        }
+        let mut store = ZoneStore::new();
+        store.add_zone(tld);
+        let referral = |owner: &str, ns: &str, glue: [u8; 4]| LookupResult::Referral {
+            ns: vec![Record::ns(n(owner), n(ns), 86400)],
+            glue: vec![Record::a(n(ns), a(glue), 86400)],
+        };
+        assert_eq!(
+            store.lookup(&n("host-3.s1234.example")),
+            referral("s1234.example", "ns.s1234.example", [10, 4, 210, 53])
+        );
+        // `s11` is not read as a subdomain of `s1`.
+        assert_eq!(
+            store.lookup(&n("host.s11.example")),
+            referral("s11.example", "ns.s11.example", [10, 0, 11, 53])
+        );
+        // A query for the cut itself is referred too.
+        assert_eq!(
+            store.lookup(&n("s2047.example")),
+            referral("s2047.example", "ns.s2047.example", [10, 7, 255, 53])
+        );
+        assert_eq!(
+            store.lookup(&n("www.example")),
+            LookupResult::Answer(vec![Record::a(n("www.example"), a([12, 0, 0, 80]), 300)])
+        );
+        assert_eq!(store.lookup(&n("s2048.example")), LookupResult::NxDomain);
+        assert_eq!(
+            store.lookup(&n("host.s7.other")),
+            LookupResult::NotAuthoritative
+        );
     }
 }

@@ -145,6 +145,8 @@ fn e12_adversarial_tables_golden() {
 fn e13_availability_table_golden() {
     check(
         "e13_availability",
-        &e13_availability::run_availability_jobs(SEED, 0).table().render(),
+        &e13_availability::run_availability_jobs(SEED, 0)
+            .table()
+            .render(),
     );
 }
